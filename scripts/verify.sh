@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repository verify path: tier-1 tests, the observability suite, the
-# repro.lint static-analysis gate, the mypy strict-typing gate (when
-# mypy is installed), the generated-API freshness check, the chaos
-# smoke (a degraded balancing round under injected faults), the
+# Repository verify path: tier-1 tests, the perfbench suite (stored
+# digest chains of the benchmark configurations), the observability
+# suite, the repro.lint static-analysis gate, the mypy strict-typing
+# gate (when mypy is installed), the generated-API freshness check, the
+# chaos smoke (a degraded balancing round under injected faults), the
 # incremental smoke (persistent-tree digest identity under churn), the
 # partition smoke (a network split healing under the conservation
 # gate) and the recovery smokes (a monitored chaos soak with process
@@ -19,6 +20,14 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q
+
+echo "== perfbench suite: production-configuration digest chains =="
+# Outside tier-1 (about 75 s).  The only suite that replays the four
+# benchmark configurations (clean, durable, defended, aware_faulted with
+# its partition and heal) against their stored seed-1 digest chains, and
+# the only one that fails when an entry point the benchmark wraps is
+# renamed.
+python -m pytest perfbench/tests -q
 
 echo "== observability suite (unit + integration + docstring lint) =="
 python -m pytest -q tests/test_obs*.py

@@ -16,7 +16,7 @@ then carry real topology distances.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -70,8 +70,20 @@ from repro.topology.landmarks import landmark_vectors, select_landmarks
 from repro.topology.routing import DistanceOracle
 from repro.util.rng import ensure_rng, spawn_rngs
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (recovery -> core)
+if TYPE_CHECKING:  # pragma: no cover - annotations only (recovery imports core)
+    from repro.obs.trace import Span, _NullSpan
     from repro.recovery.journal import TransferJournal
+
+
+def _classify_neutral(
+    nodes: list[PhysicalNode], *results: ClassificationResult
+) -> None:
+    """Classify ``nodes`` neutral at their current load in ``results``:
+    with no admissible aggregate to classify against, they sit out."""
+    for result in results:
+        for node in nodes:
+            result.classes[node.index] = NodeClass.NEUTRAL
+            result.targets[node.index] = node.load
 
 
 class LoadBalancer:
@@ -277,10 +289,10 @@ class LoadBalancer:
         With a membership manager attached (the fault plan schedules
         partitions), the round first advances the epoch state machine:
         an expired partition heals (in-flight transfers reconciled,
-        conservation asserted), a due boundary partition activates, and
-        the round then runs either as a normal whole-ring round, a
-        whole-ring round with a mid-round cut inside the VST batch, or
-        one internally consistent degraded sub-round per component.
+        conservation asserted) and a due boundary partition activates.
+        The round body then runs over the whole ring (with a mid-round
+        cut inside the VST batch when one is pending) or, under a
+        partitioned view, over one component view per side of the split.
         """
         stats = FaultRoundStats()
         adv_stats = AdversaryRoundStats()
@@ -309,6 +321,7 @@ class LoadBalancer:
             self._sanity.begin_round(
                 stats.epoch, stats, alive_indices=alive_indices
             )
+        components: list[ChordRing | ComponentRingView]
         if view is not None:
             if self.tracer.enabled:
                 self.tracer.event(
@@ -316,54 +329,74 @@ class LoadBalancer:
                     epoch=view.epoch,
                     components=len(view.components),
                 )
-            report = self._run_partitioned_round(stats, view, adv_stats)
+            # An epoch change makes cross-epoch state inadmissible by
+            # definition: the cached whole-ring aggregate goes.
+            self._stale_lbi = None
+            self._stale_lbi_age = 0
+            components = [
+                ComponentRingView(self.ring, members)
+                for members in view.components
+            ]
         else:
-            report = self._run_plain_round(stats, pending, adv_stats)
+            components = [self._trusted_ring()]
+        report = self._run_components(components, stats, adv_stats, view, pending)
         if self.journal is not None:
             self.journal.record(
                 "round_end", round=round_index, digest=report.canonical_digest()
             )
         return report
 
-    def _run_plain_round(
+    def _trusted_ring(self) -> ChordRing | ComponentRingView:
+        """The ring a whole-ring round runs over.
+
+        Under trust quarantine that is a view of the trusted survivors,
+        re-tiled as for a partition, so quarantined nodes neither report
+        nor receive transfers.
+        """
+        ring = self.ring
+        trust = self._sanity
+        if not isinstance(trust, TrustedAggregation) or not trust.excluded:
+            return ring
+        alive = ring.alive_nodes
+        trusted = tuple(n.index for n in alive if n.index not in trust.excluded)
+        if trusted and len(trusted) < len(alive):
+            view = ComponentRingView(ring, trusted)
+            if any(n.virtual_servers for n in view.alive_nodes):
+                return view
+        return ring
+
+    def _run_components(
         self,
+        components: list[ChordRing | ComponentRingView],
         stats: FaultRoundStats,
-        pending: PartitionSpec | None = None,
-        adv_stats: AdversaryRoundStats | None = None,
+        adv_stats: AdversaryRoundStats,
+        view: MembershipView | None,
+        pending: PartitionSpec | None,
     ) -> BalanceReport:
-        """One whole-ring round (optionally cut mid-VST by ``pending``)."""
+        """The round body: the four phases once per component, then a merge.
+
+        ``components`` is ``[ring]`` (or its trusted view) for a
+        whole-ring round and one component view per side of a degraded
+        ``view``.  Each runs the same phase calls, through the hooks the
+        sharded engine overrides.  The merge sums the aggregates and
+        concatenates the rest, so one component passes through bit for
+        bit (``0.0 + x == x``, ``min(inf, x) == x``, ``max(0, h) == h``).
+        Only whole-ring rounds reuse a stale aggregate and run a
+        ``pending`` mid-round cut; only degraded components without
+        reports or virtual servers sit the round out, neutral.
+        """
         cfg = self.config
         ring = self.ring
         tracer = self.tracer
-        faults = self.faults
-        if adv_stats is None:
-            adv_stats = AdversaryRoundStats()
         alive = ring.alive_nodes
         node_indices = np.asarray([n.index for n in alive], dtype=np.int64)
         capacities = np.asarray([n.capacity for n in alive], dtype=np.float64)
         loads_before = np.asarray([n.load for n in alive], dtype=np.float64)
-        # Quarantine re-tiling: when the trust layer has excluded nodes,
-        # the whole protocol pipeline runs over a ComponentRingView of
-        # the trusted survivors — the same machinery partitions use — so
-        # excluded regions are re-tiled and quarantined nodes neither
-        # report nor receive transfers.  Their loads still appear in the
-        # conservation arrays above; they classify neutral below.
-        work: ChordRing | ComponentRingView = ring
-        work_alive = alive
-        trust = (
-            self._sanity
-            if isinstance(self._sanity, TrustedAggregation)
-            else None
-        )
-        if trust is not None and trust.excluded:
-            trusted = tuple(
-                n.index for n in alive if n.index not in trust.excluded
-            )
-            if trusted and len(trusted) < len(alive):
-                view = ComponentRingView(ring, trusted)
-                if any(n.virtual_servers for n in view.alive_nodes):
-                    work = view
-                    work_alive = view.alive_nodes
+        in_flight_before = 0.0
+        round_attrs: dict[str, int] = {}
+        if view is not None and self.membership is not None:
+            in_flight_before = self.membership.in_flight_load
+            round_attrs = {"epoch": view.epoch, "components": len(view.components)}
         clock = PhaseClock()
         round_span = tracer.span(
             "round",
@@ -371,136 +404,223 @@ class LoadBalancer:
             nodes=len(alive),
             virtual_servers=ring.num_virtual_servers,
             tree_degree=cfg.tree_degree,
+            **round_attrs,
         )
 
-        # Phase 1: tree + LBI aggregation/dissemination.
-        with clock.phase("lbi"), tracer.span("lbi"):
-            tree = KnaryTree(work, cfg.tree_degree, metrics=self.metrics)
-            reports = collect_lbi_reports(
-                work,
-                tree,
-                rng=self._lbi_rng,
-                tracer=tracer,
-                faults=faults,
-                retry=self.retry,
-                fault_stats=stats,
-                sanity=self._sanity,
-                epoch=stats.epoch,
-                adversary=self.adversary,
-                adversary_stats=adv_stats,
-            )
-            if reports or self._stale_lbi is None:
-                # aggregate_lbi raises BalancerError on an empty report
-                # set with nothing cached — total aggregation failure in
-                # the very first round is unrecoverable by design.
-                system, agg_trace = self._aggregate_lbi(tree, reports)
-                self._stale_lbi = system
-                self._stale_lbi_age = 0
-            elif self._stale_lbi_age < self.retry.lbi_staleness_rounds:
-                # Degraded mode: every report was lost this round, but a
-                # previous aggregate is still within its staleness bound —
-                # reuse it rather than failing the round.  The loads it
-                # describes are approximate, which the paper's protocol
-                # tolerates (classification thresholds carry slack).
-                self._stale_lbi_age += 1
-                system = self._stale_lbi
-                agg_trace = AggregationTrace(tree_height=tree.height())
-                stats.stale_lbi_reused = True
-                if tracer.enabled:
-                    tracer.event(
-                        "lbi.stale_reuse",
-                        age=self._stale_lbi_age,
-                        bound=self.retry.lbi_staleness_rounds,
-                    )
-            else:
-                # The cached aggregate aged out: surface the failure.
-                system, agg_trace = self._aggregate_lbi(tree, reports)
-        self._crash_point("post-lbi-fold")
-
-        # Phase 2: classification.  Quarantined nodes sit the round out
-        # as neutral — they are outside the trusted aggregate, so no
-        # target can be computed for them.
-        with clock.phase("classification"), tracer.span("classification"):
-            classification_before = classify_all(
-                work_alive, system, cfg.epsilon, tracer=tracer, stage="before"
-            )
-            self._classify_excluded_neutral(
-                alive, work_alive, classification_before
-            )
-
-        with clock.phase("vsa"):
-            # Phase 3a: build VSA entries.
-            vsa_span = tracer.span("vsa")
-            published = self._publish_vsa_entries(
-                work_alive, classification_before
-            )
-
-            # Phase 3b: bottom-up VSA sweep.
-            vsa_result = self._run_vsa_sweep(
-                tree, published, system.min_vs_load, stats
-            )
-            vsa_span.end()
-
-        # Phase 4: execute transfers.  Assignments that went stale because
-        # churn interleaved between VSA and VST are dropped, not fatal;
-        # transfers that abort mid-flight roll back and land in ``failed``.
+        total_load = total_capacity = 0.0
+        min_vs_load = float("inf")
+        agg_trace = AggregationTrace()
+        vsa_result = VSAResult()
+        before = ClassificationResult(classes={}, targets={})
+        after = ClassificationResult(classes={}, targets={})
+        transfers: list[TransferRecord] = []
         skipped: list[Assignment] = []
         failed: list[Assignment] = []
-        with clock.phase("vst"), tracer.span("vst"):
-            if pending is not None and self.membership is not None:
-                transfers = self._execute_transfers_with_partition(
-                    vsa_result.assignments, pending, skipped, failed, stats
+        tree_height = tree_nodes = 0
+        # Quarantined nodes are outside the trusted aggregate, so no
+        # target can be computed for them: neutral at their load before
+        # the round and again at their load after it.
+        excluded: list[PhysicalNode] = []
+        if view is None and components[0] is not ring:
+            trusted = {n.index for n in components[0].alive_nodes}
+            excluded = [n for n in alive if n.index not in trusted]
+        _classify_neutral(excluded, before)
+
+        for comp in components:
+            comp_alive = comp.alive_nodes
+            lbi_attrs: dict[str, int] = {}
+            if isinstance(comp, ComponentRingView) and view is not None:
+                if not any(n.virtual_servers for n in comp_alive):
+                    _classify_neutral(comp_alive, before, after)
+                    continue
+                lbi_attrs = {"component": comp.members[0]}
+
+            # Phase 1: tree + LBI aggregation/dissemination.
+            with clock.phase("lbi"), tracer.span("lbi", **lbi_attrs):
+                tree = KnaryTree(
+                    comp, cfg.tree_degree, metrics=self.metrics,
+                    epoch=stats.epoch,
                 )
-            else:
-                transfers = execute_transfers(
-                    work, vsa_result.assignments, self.oracle, skipped=skipped,
-                    tracer=tracer, faults=faults, failed=failed, fault_stats=stats,
-                    journal=self.journal, adversary=self.adversary,
+                reports = collect_lbi_reports(
+                    comp,
+                    tree,
+                    rng=self._lbi_rng,
+                    tracer=tracer,
+                    faults=self.faults,
+                    retry=self.retry,
+                    fault_stats=stats,
+                    sanity=self._sanity,
+                    epoch=stats.epoch,
+                    adversary=self.adversary,
+                    adversary_stats=adv_stats,
+                )
+                if not reports and view is not None:
+                    _classify_neutral(comp_alive, before, after)
+                    continue
+                if (
+                    reports
+                    or self._stale_lbi is None
+                    or self._stale_lbi_age >= self.retry.lbi_staleness_rounds
+                ):
+                    # With no reports this raises BalancerError: a total
+                    # aggregation failure with nothing cached (or the
+                    # cache aged out) is unrecoverable by design.
+                    system_c, agg_c = self._aggregate_lbi(tree, reports)
+                    if view is None:
+                        self._stale_lbi = system_c
+                        self._stale_lbi_age = 0
+                else:
+                    # Degraded mode: every report was lost this round, but
+                    # a previous aggregate is still within its staleness
+                    # bound — reuse it rather than failing the round.  The
+                    # loads it describes are approximate, which the
+                    # paper's protocol tolerates (classification
+                    # thresholds carry slack).
+                    self._stale_lbi_age += 1
+                    system_c = self._stale_lbi
+                    agg_c = AggregationTrace(tree_height=tree.height())
+                    stats.stale_lbi_reused = True
+                    if tracer.enabled:
+                        tracer.event(
+                            "lbi.stale_reuse",
+                            age=self._stale_lbi_age,
+                            bound=self.retry.lbi_staleness_rounds,
+                        )
+            self._crash_point("post-lbi-fold")
+
+            # Phase 2: classification.
+            with clock.phase("classification"), tracer.span("classification"):
+                before_c = classify_all(
+                    comp_alive, system_c, cfg.epsilon, tracer=tracer,
+                    stage="before",
                 )
 
-        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
-        classification_after = classify_all(
-            work_alive, system, cfg.epsilon, tracer=tracer, stage="after"
-        )
-        self._classify_excluded_neutral(alive, work_alive, classification_after)
-        if faults is not None:
-            stats.injected_total = faults.injected
-            stats.signature = faults.signature()
-        self._finalize_adversary_stats(adv_stats, transfers)
-        round_span.end(
-            transfers=len(transfers),
-            moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=len(classification_after.heavy),
-            failed_transfers=len(failed),
-            faults_injected=stats.injected_total,
-        )
+            with clock.phase("vsa"):
+                # Phase 3a: build VSA entries; 3b: bottom-up VSA sweep.
+                vsa_span = tracer.span("vsa")
+                published = self._publish_vsa_entries(comp_alive, before_c)
+                vsa_c = self._run_vsa_sweep(
+                    tree, published, system_c.min_vs_load, stats
+                )
+                vsa_span.end()
 
-        report = BalanceReport(
-            config=cfg,
-            system_lbi=system,
-            num_nodes=len(alive),
-            num_virtual_servers=ring.num_virtual_servers,
+            # Phase 4: execute transfers.  Assignments that went stale
+            # because churn interleaved between VSA and VST are dropped,
+            # not fatal; transfers that abort mid-flight roll back and
+            # land in ``failed``.
+            with clock.phase("vst"), tracer.span("vst"):
+                if pending is not None:
+                    transfers_c = self._execute_transfers_with_partition(
+                        vsa_c.assignments, pending, skipped, failed, stats
+                    )
+                else:
+                    transfers_c = execute_transfers(
+                        comp, vsa_c.assignments, self.oracle, skipped=skipped,
+                        tracer=tracer, faults=self.faults, failed=failed,
+                        fault_stats=stats, journal=self.journal,
+                        adversary=self.adversary,
+                    )
+            after_c = classify_all(
+                comp_alive, system_c, cfg.epsilon, tracer=tracer, stage="after"
+            )
+
+            total_load += system_c.total_load
+            total_capacity += system_c.total_capacity
+            min_vs_load = min(min_vs_load, system_c.min_vs_load)
+            agg_trace.tree_height = max(agg_trace.tree_height, agg_c.tree_height)
+            agg_trace.upward_rounds = max(agg_trace.upward_rounds, agg_c.upward_rounds)
+            agg_trace.downward_rounds = max(
+                agg_trace.downward_rounds, agg_c.downward_rounds
+            )
+            agg_trace.upward_messages += agg_c.upward_messages
+            agg_trace.downward_messages += agg_c.downward_messages
+            agg_trace.reports += agg_c.reports
+            vsa_result.assignments.extend(vsa_c.assignments)
+            vsa_result.unassigned_heavy.extend(vsa_c.unassigned_heavy)
+            vsa_result.unassigned_light.extend(vsa_c.unassigned_light)
+            vsa_result.rounds = max(vsa_result.rounds, vsa_c.rounds)
+            vsa_result.upward_messages += vsa_c.upward_messages
+            vsa_result.entries_published += vsa_c.entries_published
+            vsa_result.entries_lost += vsa_c.entries_lost
+            vsa_result.pairings_by_level.update(vsa_c.pairings_by_level)
+            for merged, part in ((before, before_c), (after, after_c)):
+                merged.classes.update(part.classes)
+                merged.targets.update(part.targets)
+            transfers.extend(transfers_c)
+            tree_height = max(tree_height, tree.height())
+            tree_nodes += tree.node_count
+
+        _classify_neutral(excluded, after)
+        if total_capacity <= 0:
+            # Every component of a degraded round lost every report:
+            # degrade to the sum of the advertised node capacities so the
+            # round still reports a well-formed (if uninformative)
+            # aggregate.
+            total_capacity = sum(n.capacity for n in alive)
+            total_load = float(np.sum(loads_before))
+        return self._assemble_report(
+            round_span,
+            clock,
+            stats,
+            adv_stats,
+            system_lbi=SystemLBI(
+                total_load=total_load,
+                total_capacity=total_capacity,
+                min_vs_load=min_vs_load,
+            ),
             node_indices=node_indices,
             capacities=capacities,
             loads_before=loads_before,
-            loads_after=loads_after,
-            classification_before=classification_before,
-            classification_after=classification_after,
+            loads_after=np.asarray([n.load for n in alive], dtype=np.float64),
+            classification_before=before,
+            classification_after=after,
             aggregation=agg_trace,
             vsa=vsa_result,
             transfers=transfers,
             skipped_assignments=skipped,
             failed_assignments=failed,
+            tree_height=tree_height,
+            tree_nodes_materialized=tree_nodes,
+            in_flight_before=in_flight_before,
+        )
+
+    def _assemble_report(
+        self,
+        round_span: Span | _NullSpan,
+        clock: PhaseClock,
+        stats: FaultRoundStats,
+        adv_stats: AdversaryRoundStats,
+        **fields: Any,
+    ) -> BalanceReport:
+        """Close a round: accounting, ``round`` span, report, metrics.
+
+        ``fields`` are the round's own :class:`BalanceReport` fields; the
+        rest are filled in here.
+        """
+        report = BalanceReport(
+            config=self.config,
+            num_nodes=len(fields["node_indices"]),
+            num_virtual_servers=self.ring.num_virtual_servers,
             fault_stats=stats,
             adversary_stats=adv_stats,
-            tree_height=tree.height(),
-            tree_nodes_materialized=tree.node_count,
             in_flight_after=(
                 self.membership.in_flight_load
                 if self.membership is not None
                 else 0.0
             ),
             phase_seconds=clock.seconds,
+            **fields,
+        )
+        if self.faults is not None:
+            stats.injected_total = self.faults.injected
+            stats.signature = self.faults.signature()
+        self._finalize_adversary_stats(adv_stats, report.transfers)
+        round_span.end(
+            transfers=len(report.transfers),
+            moved_load=float(report.moved_load),
+            heavy_after=report.heavy_after,
+            failed_transfers=len(report.failed_assignments),
+            faults_injected=stats.injected_total,
         )
         report.profile = profile_from_report(report)
         if self.metrics is not None:
@@ -515,9 +635,30 @@ class LoadBalancer:
     ) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
         """Phase 3a: heavy nodes publish shed candidates, light ones spare
         capacity, each under its placement key, in node order."""
+        placement = self._placement
+        assert placement is not None
+        return self._publish_under(
+            nodes,
+            classification,
+            lambda publishers: [placement.key_for(n) for n in publishers],
+        )
+
+    def _publish_under(
+        self,
+        nodes: list[PhysicalNode],
+        classification: ClassificationResult,
+        keys_for: Callable[[list[PhysicalNode]], list[int]],
+    ) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
+        """Phase 3a with the placement keys drawn by ``keys_for``.
+
+        Every publisher is decided first and their keys are then drawn
+        in one ``keys_for`` call, in node order.  Shed-subset selection
+        consumes no rng, so per-node and batched draws see the same
+        generator stream.
+        """
         cfg = self.config
-        assert self._placement is not None
-        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
+        publishers: list[PhysicalNode] = []
+        payloads: list[list[ShedCandidate] | SpareCapacity] = []
         for node in nodes:
             cls = classification.classes[node.index]
             if cls is NodeClass.HEAVY:
@@ -532,51 +673,34 @@ class LoadBalancer:
                 )
                 if not shed:
                     continue
-                key = self._placement.key_for(node)
-                for idx in shed:
-                    published.append(
-                        (
-                            key,
-                            ShedCandidate(
-                                load=vs_list[idx].load,
-                                vs_id=vs_list[idx].vs_id,
-                                node_index=node.index,
-                            ),
+                publishers.append(node)
+                payloads.append(
+                    [
+                        ShedCandidate(
+                            load=vs_list[idx].load,
+                            vs_id=vs_list[idx].vs_id,
+                            node_index=node.index,
                         )
-                    )
+                        for idx in shed
+                    ]
+                )
             elif cls is NodeClass.LIGHT:
                 delta = classification.targets[node.index] - node.load
                 if delta <= 0:
                     continue
-                key = self._placement.key_for(node)
-                published.append(
-                    (key, SpareCapacity(delta=delta, node_index=node.index))
-                )
+                publishers.append(node)
+                payloads.append(SpareCapacity(delta=delta, node_index=node.index))
+        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
+        for key, payload in zip(keys_for(publishers), payloads):
+            if isinstance(payload, SpareCapacity):
+                published.append((key, payload))
+            else:
+                published.extend((key, entry) for entry in payload)
         return published
 
     # ------------------------------------------------------------------
     # Adversary machinery
     # ------------------------------------------------------------------
-    @staticmethod
-    def _classify_excluded_neutral(
-        alive: list[PhysicalNode],
-        work_alive: list[PhysicalNode],
-        classification: ClassificationResult,
-    ) -> None:
-        """Classify quarantine-excluded nodes neutral (no movement).
-
-        Mirrors the degraded-component handling in partitioned rounds:
-        a node outside the trusted work ring has no admissible aggregate
-        to classify against, so it keeps its load for the round.
-        """
-        if len(work_alive) == len(alive):
-            return
-        covered = classification.classes
-        for node in alive:
-            if node.index not in covered:
-                classification.classes[node.index] = NodeClass.NEUTRAL
-                classification.targets[node.index] = node.load
-
     def _finalize_adversary_stats(
         self,
         adv_stats: AdversaryRoundStats,
@@ -663,218 +787,6 @@ class LoadBalancer:
             journal=self.journal, adversary=self.adversary,
         )
         return transfers
-
-    def _run_partitioned_round(
-        self,
-        stats: FaultRoundStats,
-        view: MembershipView,
-        adv_stats: AdversaryRoundStats | None = None,
-    ) -> BalanceReport:
-        """One degraded round: an independent sub-round per component.
-
-        Each component sees only its own nodes through a
-        :class:`~repro.membership.views.ComponentRingView`, builds an
-        epoch-tagged tree over it and runs the identical
-        LBI/classify/VSA/VST pipeline (through the same phase hooks the
-        sharded engine overrides, so serial/sharded byte-identity is
-        inherited).  Components run in deterministic order; their
-        results merge into one report whose aggregate is the sum of the
-        component aggregates.  A component left without LBI reports (or
-        without virtual servers) classifies its nodes neutral and moves
-        nothing.  The cached whole-ring aggregate is invalidated — an
-        epoch change makes cross-epoch state inadmissible by definition.
-        """
-        cfg = self.config
-        ring = self.ring
-        tracer = self.tracer
-        faults = self.faults
-        membership = self.membership
-        assert membership is not None
-        if adv_stats is None:
-            adv_stats = AdversaryRoundStats()
-        self._stale_lbi = None
-        self._stale_lbi_age = 0
-        alive = ring.alive_nodes
-        node_indices = np.asarray([n.index for n in alive], dtype=np.int64)
-        capacities = np.asarray([n.capacity for n in alive], dtype=np.float64)
-        loads_before = np.asarray([n.load for n in alive], dtype=np.float64)
-        in_flight = membership.in_flight_load
-        clock = PhaseClock()
-        round_span = tracer.span(
-            "round",
-            mode=cfg.proximity_mode,
-            nodes=len(alive),
-            virtual_servers=ring.num_virtual_servers,
-            tree_degree=cfg.tree_degree,
-            epoch=view.epoch,
-            components=len(view.components),
-        )
-
-        total_load = 0.0
-        total_capacity = 0.0
-        min_vs_load = float("inf")
-        agg_trace = AggregationTrace()
-        vsa_result = VSAResult()
-        classes_before: dict[int, NodeClass] = {}
-        targets_before: dict[int, float] = {}
-        classes_after: dict[int, NodeClass] = {}
-        targets_after: dict[int, float] = {}
-        transfers: list[TransferRecord] = []
-        skipped: list[Assignment] = []
-        failed: list[Assignment] = []
-        tree_height = 0
-        tree_nodes = 0
-
-        def neutral(nodes: list[PhysicalNode]) -> None:
-            """Classify a degraded component's nodes neutral (no movement)."""
-            for node in nodes:
-                classes_before[node.index] = NodeClass.NEUTRAL
-                targets_before[node.index] = node.load
-                classes_after[node.index] = NodeClass.NEUTRAL
-                targets_after[node.index] = node.load
-
-        for members in view.components:
-            comp = ComponentRingView(ring, members)
-            comp_alive = comp.alive_nodes
-            if not comp_alive:
-                continue
-            if not any(n.virtual_servers for n in comp_alive):
-                neutral(comp_alive)
-                continue
-            with clock.phase("lbi"), tracer.span("lbi", component=members[0]):
-                tree = KnaryTree(
-                    comp, cfg.tree_degree, metrics=self.metrics,
-                    epoch=view.epoch,
-                )
-                # Under an active adversary, lies and accusations flow
-                # into each component's collection unchanged; quarantined
-                # nodes are not re-tiled out here (the components already
-                # re-tile the ring) — their reports are rejected at the
-                # trust gate instead.
-                reports = collect_lbi_reports(
-                    comp,
-                    tree,
-                    rng=self._lbi_rng,
-                    tracer=tracer,
-                    faults=faults,
-                    retry=self.retry,
-                    fault_stats=stats,
-                    sanity=self._sanity,
-                    epoch=view.epoch,
-                    adversary=self.adversary,
-                    adversary_stats=adv_stats,
-                )
-                if not reports:
-                    neutral(comp_alive)
-                    continue
-                system_c, agg_c = self._aggregate_lbi(tree, reports)
-            self._crash_point("post-lbi-fold")
-            with clock.phase("classification"), tracer.span("classification"):
-                before_c = classify_all(
-                    comp_alive, system_c, cfg.epsilon, tracer=tracer,
-                    stage="before",
-                )
-            with clock.phase("vsa"):
-                vsa_span = tracer.span("vsa")
-                published = self._publish_vsa_entries(comp_alive, before_c)
-                vsa_c = self._run_vsa_sweep(
-                    tree, published, system_c.min_vs_load, stats
-                )
-                vsa_span.end()
-            with clock.phase("vst"), tracer.span("vst"):
-                transfers_c = execute_transfers(
-                    comp, vsa_c.assignments, self.oracle, skipped=skipped,
-                    tracer=tracer, faults=faults, failed=failed,
-                    fault_stats=stats, journal=self.journal,
-                    adversary=self.adversary,
-                )
-            after_c = classify_all(
-                comp_alive, system_c, cfg.epsilon, tracer=tracer, stage="after"
-            )
-            total_load += system_c.total_load
-            total_capacity += system_c.total_capacity
-            min_vs_load = min(min_vs_load, system_c.min_vs_load)
-            agg_trace.tree_height = max(agg_trace.tree_height, agg_c.tree_height)
-            agg_trace.upward_rounds = max(agg_trace.upward_rounds, agg_c.upward_rounds)
-            agg_trace.downward_rounds = max(
-                agg_trace.downward_rounds, agg_c.downward_rounds
-            )
-            agg_trace.upward_messages += agg_c.upward_messages
-            agg_trace.downward_messages += agg_c.downward_messages
-            agg_trace.reports += agg_c.reports
-            vsa_result.assignments.extend(vsa_c.assignments)
-            vsa_result.unassigned_heavy.extend(vsa_c.unassigned_heavy)
-            vsa_result.unassigned_light.extend(vsa_c.unassigned_light)
-            vsa_result.rounds = max(vsa_result.rounds, vsa_c.rounds)
-            vsa_result.upward_messages += vsa_c.upward_messages
-            vsa_result.entries_published += vsa_c.entries_published
-            vsa_result.entries_lost += vsa_c.entries_lost
-            vsa_result.pairings_by_level.update(vsa_c.pairings_by_level)
-            classes_before.update(before_c.classes)
-            targets_before.update(before_c.targets)
-            classes_after.update(after_c.classes)
-            targets_after.update(after_c.targets)
-            transfers.extend(transfers_c)
-            tree_height = max(tree_height, tree.height())
-            tree_nodes += tree.node_count
-
-        if total_capacity <= 0:
-            # Every component lost every report: degrade to the sum of
-            # the advertised node capacities so the round still reports
-            # a well-formed (if uninformative) aggregate.
-            total_capacity = sum(n.capacity for n in alive)
-            total_load = float(np.sum(loads_before))
-        system = SystemLBI(
-            total_load=total_load,
-            total_capacity=total_capacity,
-            min_vs_load=min_vs_load,
-        )
-        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
-        classification_before = ClassificationResult(
-            classes=classes_before, targets=targets_before
-        )
-        classification_after = ClassificationResult(
-            classes=classes_after, targets=targets_after
-        )
-        if faults is not None:
-            stats.injected_total = faults.injected
-            stats.signature = faults.signature()
-        self._finalize_adversary_stats(adv_stats, transfers)
-        round_span.end(
-            transfers=len(transfers),
-            moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=len(classification_after.heavy),
-            failed_transfers=len(failed),
-            faults_injected=stats.injected_total,
-        )
-        report = BalanceReport(
-            config=cfg,
-            system_lbi=system,
-            num_nodes=len(alive),
-            num_virtual_servers=ring.num_virtual_servers,
-            node_indices=node_indices,
-            capacities=capacities,
-            loads_before=loads_before,
-            loads_after=loads_after,
-            classification_before=classification_before,
-            classification_after=classification_after,
-            aggregation=agg_trace,
-            vsa=vsa_result,
-            transfers=transfers,
-            skipped_assignments=skipped,
-            failed_assignments=failed,
-            fault_stats=stats,
-            adversary_stats=adv_stats,
-            tree_height=tree_height,
-            tree_nodes_materialized=tree_nodes,
-            in_flight_before=in_flight,
-            in_flight_after=membership.in_flight_load,
-            phase_seconds=clock.seconds,
-        )
-        report.profile = profile_from_report(report)
-        if self.metrics is not None:
-            self._record_metrics(report)
-        return report
 
     # ------------------------------------------------------------------
     # Phase hooks (overridden by shard-parallel engines)

@@ -37,9 +37,13 @@ reproduces the serial ascending-child merge; and batched
 ``Generator.integers(0, counts)`` draws are stream-identical to the
 serial per-node scalar draws.
 
-Anything the fast path cannot reproduce exactly — fault injection,
-partitions, enabled tracing — falls back to the inherited serial round
-wholesale, so digest identity under those regimes holds by construction.
+Anything the fast path cannot reproduce exactly — an attached
+``FaultPlan`` (which partitions ride on), an ``AdversaryPlan``, an
+attached write-ahead journal, enabled tracing, or a ring with no
+virtual servers or no alive nodes — falls back to the inherited serial
+round wholesale, so digest identity under those regimes holds by
+construction.  Each fallback round counts
+``incremental.fallback.<reason>`` on the attached metrics registry.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.adversary.stats import AdversaryRoundStats
 from repro.core.balancer import LoadBalancer
 from repro.core.classification import (
     ClassificationResult,
@@ -55,13 +60,11 @@ from repro.core.classification import (
 from repro.core.lbi import AggregationTrace
 from repro.core.records import (
     Assignment,
-    NodeClass,
     ShedCandidate,
     SpareCapacity,
     SystemLBI,
 )
 from repro.core.rendezvous import pair_rendezvous
-from repro.core.selection import select_shed_subset
 from repro.core.report import BalanceReport
 from repro.core.soa import NodeStateArrays
 from repro.core.vsa import VSAResult
@@ -73,7 +76,7 @@ from repro.faults.stats import FaultRoundStats
 from repro.idspace.hashing import hash_to_id
 from repro.ktree.index import TreeIndex
 from repro.ktree.tree import KnaryTree
-from repro.obs.profile import PhaseClock, profile_from_report
+from repro.obs.profile import PhaseClock
 
 
 class IncrementalLoadBalancer(LoadBalancer):
@@ -149,27 +152,41 @@ class IncrementalLoadBalancer(LoadBalancer):
     def run_round(self) -> BalanceReport:
         """One round: fast path when exactness allows, else serial.
 
-        Fault injection, an active Byzantine adversary, partitions, an
-        attached write-ahead journal and enabled tracing run through the
-        inherited serial implementation (their rng/event interleavings
-        are inherently per-object); the persistent tree is invalidated
-        so the next fast round rebuilds from the current ring.
+        A round that cannot take the fast path (see
+        :meth:`_fallback_reason`) runs through the inherited serial
+        implementation and counts ``incremental.fallback.<reason>`` on
+        the attached metrics registry; the persistent tree is
+        invalidated so the next fast round rebuilds from the current
+        ring.
         """
-        if (
-            self.faults is not None
-            or self.adversary is not None
-            or self.membership is not None
-            or self.journal is not None
-            or self.tracer.enabled
-            or self.ring.num_virtual_servers == 0
-            or not self.ring.alive_nodes
-        ):
+        reason = self._fallback_reason()
+        if reason is not None:
+            if self.metrics is not None:
+                self.metrics.counter(f"incremental.fallback.{reason}").inc()
             self._needs_reset = True
             self._events.drain(resolve=False)
             return super().run_round()
         stats = FaultRoundStats()
         self._round_index += 1
         return self._run_incremental_round(stats)
+
+    def _fallback_reason(self) -> str | None:
+        """Why this round must leave the fast path (``None``: it need not).
+
+        Faults (partitions ride on them), an adversary, a journal and
+        tracing interleave rng draws or events per object; an empty ring
+        has nothing to fold.
+        """
+        checks = {
+            "faults": self.faults is not None,
+            "adversary": self.adversary is not None,
+            "journal": self.journal is not None,
+            "tracing": self.tracer.enabled,
+            "empty_ring": (
+                self.ring.num_virtual_servers == 0 or not self.ring.alive_nodes
+            ),
+        }
+        return next((reason for reason, hit in checks.items() if hit), None)
 
     # ------------------------------------------------------------------
     # World synchronisation
@@ -339,7 +356,11 @@ class IncrementalLoadBalancer(LoadBalancer):
     # The incremental round
     # ------------------------------------------------------------------
     def _run_incremental_round(self, stats: FaultRoundStats) -> BalanceReport:
-        """Mirror of ``LoadBalancer._run_plain_round`` over slot arrays."""
+        """The whole-ring round body of :class:`LoadBalancer` over slot arrays.
+
+        The same four phases over the persistent tree and the node-state
+        columns, closed by the shared report assembly.
+        """
         cfg = self.config
         ring = self.ring
         tracer = self.tracer
@@ -419,19 +440,12 @@ class IncrementalLoadBalancer(LoadBalancer):
             tracer=tracer,
             stage="after",
         )
-        round_span.end(
-            transfers=len(transfers),
-            moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=len(classification_after.heavy),
-            failed_transfers=len(failed),
-            faults_injected=stats.injected_total,
-        )
-
-        report = BalanceReport(
-            config=cfg,
+        return self._assemble_report(
+            round_span,
+            clock,
+            stats,
+            AdversaryRoundStats(),
             system_lbi=system,
-            num_nodes=len(alive),
-            num_virtual_servers=ring.num_virtual_servers,
             node_indices=arrays.indices,
             capacities=arrays.capacities,
             loads_before=arrays.loads,
@@ -443,16 +457,9 @@ class IncrementalLoadBalancer(LoadBalancer):
             transfers=transfers,
             skipped_assignments=skipped,
             failed_assignments=failed,
-            fault_stats=stats,
             tree_height=tree_height,
             tree_nodes_materialized=tree_nodes,
-            in_flight_after=0.0,
-            phase_seconds=clock.seconds,
         )
-        report.profile = profile_from_report(report)
-        if self.metrics is not None:
-            self._record_metrics(report)
-        return report
 
     # ------------------------------------------------------------------
     def _publish_vsa_entries(
@@ -462,60 +469,16 @@ class IncrementalLoadBalancer(LoadBalancer):
     ) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
         """Serial publication with the placement draws batched.
 
-        The shed-subset selection consumes no rng and the placement key
-        draw depends only on the generator state and the publisher's VS
-        count, so deciding every publisher first and then drawing all
-        keys in one :meth:`RandomVSPlacement.keys_for` call leaves the
-        rng stream — and hence the published list — byte-identical to
-        the inherited per-node loop.
+        The placement key draw depends only on the generator state and
+        the publisher's VS count, so one
+        :meth:`RandomVSPlacement.keys_for` call over every publisher
+        leaves the rng stream — and hence the published list —
+        byte-identical to the inherited per-node draws.
         """
-        cfg = self.config
-        placement = self._placement
-        assert placement is not None
-        keys_for = getattr(placement, "keys_for", None)
+        keys_for = getattr(self._placement, "keys_for", None)
         if keys_for is None:
             return super()._publish_vsa_entries(nodes, classification)
-        publishers: list[PhysicalNode] = []
-        payloads: list[list[ShedCandidate] | SpareCapacity] = []
-        for node in nodes:
-            cls = classification.classes[node.index]
-            if cls is NodeClass.HEAVY:
-                target = classification.targets[node.index]
-                vs_list = node.virtual_servers
-                loads = [vs.load for vs in vs_list]
-                shed = select_shed_subset(
-                    loads,
-                    excess=node.load - target,
-                    policy=cfg.selection_policy,
-                    keep_at_least=cfg.keep_at_least,
-                )
-                if not shed:
-                    continue
-                publishers.append(node)
-                payloads.append(
-                    [
-                        ShedCandidate(
-                            load=vs_list[idx].load,
-                            vs_id=vs_list[idx].vs_id,
-                            node_index=node.index,
-                        )
-                        for idx in shed
-                    ]
-                )
-            elif cls is NodeClass.LIGHT:
-                delta = classification.targets[node.index] - node.load
-                if delta <= 0:
-                    continue
-                publishers.append(node)
-                payloads.append(SpareCapacity(delta=delta, node_index=node.index))
-        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
-        for key, payload in zip(keys_for(publishers), payloads):
-            if isinstance(payload, SpareCapacity):
-                published.append((key, payload))
-            else:
-                for entry in payload:
-                    published.append((key, entry))
-        return published
+        return self._publish_under(nodes, classification, keys_for)
 
     # ------------------------------------------------------------------
     # Phase 1: vectorized LBI aggregation
@@ -781,32 +744,28 @@ class IncrementalLoadBalancer(LoadBalancer):
         order = grouped[
             np.lexsort((grouped, level_arr[slots_e[grouped]], -end_e[grouped]))
         ]
-        groups: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-        for i in order.tolist():
-            buck = groups.get(int(attach[i]))
-            if buck is None:
-                buck = ([], [])
-                groups[int(attach[i])] = buck
-            entry = entries[i]
-            if isinstance(entry, ShedCandidate):
-                buck[0].append(entry)
-            elif isinstance(entry, SpareCapacity):
-                buck[1].append(entry)
-            else:
-                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
-        direct: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-        for i in np.flatnonzero(attach < 0).tolist():
-            buck = direct.get(int(anchor[i]))
-            if buck is None:
-                buck = ([], [])
-                direct[int(anchor[i])] = buck
-            entry = entries[i]
-            if isinstance(entry, ShedCandidate):
-                buck[0].append(entry)
-            elif isinstance(entry, SpareCapacity):
-                buck[1].append(entry)
-            else:
-                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
+
+        def bucket(
+            owners: np.ndarray, picks: list[int]
+        ) -> dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]]:
+            """Entries ``picks`` split by owner slot, in pick order."""
+            buckets: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
+            for i in picks:
+                buck = buckets.get(int(owners[i]))
+                if buck is None:
+                    buck = ([], [])
+                    buckets[int(owners[i])] = buck
+                entry = entries[i]
+                if isinstance(entry, ShedCandidate):
+                    buck[0].append(entry)
+                elif isinstance(entry, SpareCapacity):
+                    buck[1].append(entry)
+                else:
+                    raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
+            return buckets
+
+        groups = bucket(attach, order.tolist())
+        direct = bucket(anchor, np.flatnonzero(attach < 0).tolist())
 
         # Contributions pending at each frontier slot, keyed by the
         # feeding child's region start; children of one parent share a

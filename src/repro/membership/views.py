@@ -52,6 +52,9 @@ class ComponentRingView:
         """Snapshot the component's node list; see the class docstring."""
         self.ring = ring
         self.space = ring.space
+        #: The member node indices as given (their first names the
+        #: component in traces).
+        self.members = member_indices
         members = frozenset(member_indices)
         self.nodes: list[PhysicalNode] = [
             n for n in ring.nodes if n.index in members

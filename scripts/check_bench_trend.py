@@ -2,18 +2,19 @@
 """Benchmark-trend gate: compare a metrics dump against a baseline.
 
 The repository records balancing-round cost metrics (message counts,
-Dijkstra runs, dispatch counts, phase timings) through
+Dijkstra runs, journal records, phase timings) through
 :mod:`repro.obs`.  This script turns those dumps into a regression
 gate:
 
 ``gen``
     Run the deterministic smoke workload — one serial balancing round,
-    one sharded round (inline pool), one partition lifecycle (mid-round
-    split, degraded rounds, conservation-checked heal), a
-    distance-oracle probe that exercises the batched LRU path, and
-    three crash-recovery rounds (checkpoint + write-ahead journal, one
-    injected process crash) — and write the merged metrics
-    snapshot as JSON (default: ``benchmarks/BENCH_BASELINE.json``).
+    incremental rounds over localized churn, one partition lifecycle
+    (mid-round split, degraded rounds, conservation-checked heal), four
+    defended rounds under a Byzantine adversary, a distance-oracle
+    probe that exercises the batched LRU path, and three
+    crash-recovery rounds (checkpoint + write-ahead journal, one
+    injected process crash) — and write the merged metrics snapshot as
+    JSON (default: ``benchmarks/BENCH_BASELINE.json``).
     Every counter and gauge in the workload is a pure function of the
     fixed seeds, so regenerating the file on an unchanged tree
     reproduces it bit-for-bit (timing histograms excepted).
@@ -62,7 +63,6 @@ def _smoke_snapshot() -> dict:
     from repro.core.config import BalancerConfig
     from repro.faults import FaultPlan, PartitionSpec
     from repro.obs import MetricsRegistry
-    from repro.parallel import ShardedLoadBalancer, WorkerPool
     from repro.topology import DistanceOracle
     from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
     from repro.workloads import GaussianLoadModel, build_scenario
@@ -82,15 +82,6 @@ def _smoke_snapshot() -> dict:
     # One serial round: LBI/VSA/VST message and transfer counters.
     serial = LoadBalancer(scenario().ring, config, rng=7, metrics=registry)
     serial.run_round()
-
-    # One sharded round (inline pool): parallel dispatch counters must
-    # not grow — more tasks per round means the shard split regressed.
-    with WorkerPool(1, mode="inline") as pool:
-        sharded = ShardedLoadBalancer(
-            scenario().ring, config, rng=7, metrics=registry,
-            num_shards=4, pool=pool,
-        )
-        sharded.run_round()
 
     # Three incremental rounds over localized churn: pins the persistent
     # K-nary tree's repair economy (ktree.materialized / replanted /

@@ -39,7 +39,6 @@ from repro.core.placement import (
 )
 from repro.core.records import (
     Assignment,
-    LBIRecord,
     NodeClass,
     ShedCandidate,
     SpareCapacity,
@@ -56,7 +55,6 @@ from repro.faults.injector import FaultInjector, ensure_injector
 from repro.faults.plan import FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
 from repro.faults.stats import FaultRoundStats
-from repro.ktree.node import KTNode
 from repro.ktree.tree import KnaryTree
 from repro.membership import MembershipManager, MembershipView
 from repro.membership.views import ComponentRingView
@@ -377,10 +375,10 @@ class LoadBalancer:
 
         ``components`` is ``[ring]`` (or its trusted view) for a
         whole-ring round and one component view per side of a degraded
-        ``view``.  Each runs the same phase calls, through the hooks the
-        sharded engine overrides.  The merge sums the aggregates and
-        concatenates the rest, so one component passes through bit for
-        bit (``0.0 + x == x``, ``min(inf, x) == x``, ``max(0, h) == h``).
+        ``view``.  Each runs the same phase calls.  The merge sums the
+        aggregates and concatenates the rest, so one component passes
+        through bit for bit (``0.0 + x == x``, ``min(inf, x) == x``,
+        ``max(0, h) == h``).
         Only whole-ring rounds reuse a stale aggregate and run a
         ``pending`` mid-round cut; only degraded components without
         reports or virtual servers sit the round out, neutral.
@@ -465,7 +463,9 @@ class LoadBalancer:
                     # With no reports this raises BalancerError: a total
                     # aggregation failure with nothing cached (or the
                     # cache aged out) is unrecoverable by design.
-                    system_c, agg_c = self._aggregate_lbi(tree, reports)
+                    system_c, agg_c = aggregate_lbi(
+                        tree, reports, tracer=tracer
+                    )
                     if view is None:
                         self._stale_lbi = system_c
                         self._stale_lbi_age = 0
@@ -499,9 +499,17 @@ class LoadBalancer:
                 # Phase 3a: build VSA entries; 3b: bottom-up VSA sweep.
                 vsa_span = tracer.span("vsa")
                 published = self._publish_vsa_entries(comp_alive, before_c)
-                vsa_c = self._run_vsa_sweep(
-                    tree, published, system_c.min_vs_load, stats
-                )
+                vsa_c = VSASweep(
+                    tree,
+                    threshold=cfg.rendezvous_threshold,
+                    min_vs_load=system_c.min_vs_load,
+                    strict_heaviest_first=cfg.strict_heaviest_first,
+                    tracer=tracer,
+                    faults=self.faults,
+                    retry=self.retry,
+                    rng=self._retry_rng,
+                    fault_stats=stats,
+                ).run(published)
                 vsa_span.end()
 
             # Phase 4: execute transfers.  Assignments that went stale
@@ -754,9 +762,8 @@ class LoadBalancer:
         Transfers before the cut execute normally; the partition then
         activates, every remaining cross-component assignment is
         suspended in flight (its server detached until the heal), and
-        the same-component remainder executes against the whole ring —
-        all parent-side and in serial order, so sharded engines inherit
-        the identical behaviour.
+        the same-component remainder executes against the whole ring,
+        in serial order.
         """
         membership = self.membership
         faults = self.faults
@@ -787,56 +794,6 @@ class LoadBalancer:
             journal=self.journal, adversary=self.adversary,
         )
         return transfers
-
-    # ------------------------------------------------------------------
-    # Phase hooks (overridden by shard-parallel engines)
-    # ------------------------------------------------------------------
-    def _aggregate_lbi(
-        self,
-        tree: KnaryTree,
-        reports: dict[int, tuple[KTNode, list[LBIRecord]]],
-    ) -> tuple[SystemLBI, AggregationTrace]:
-        """Run the bottom-up LBI aggregation over collected reports.
-
-        Extracted as a hook so :class:`repro.parallel.ShardedLoadBalancer`
-        can fan the per-subtree folds out to worker processes while this
-        default stays the serial reference implementation.
-        """
-        return aggregate_lbi(tree, reports, tracer=self.tracer)
-
-    def _build_vsa_sweep(
-        self,
-        tree: KnaryTree,
-        min_vs_load: float,
-        stats: FaultRoundStats,
-    ) -> VSASweep:
-        """Construct the configured :class:`VSASweep` for this round."""
-        return VSASweep(
-            tree,
-            threshold=self.config.rendezvous_threshold,
-            min_vs_load=min_vs_load,
-            strict_heaviest_first=self.config.strict_heaviest_first,
-            tracer=self.tracer,
-            faults=self.faults,
-            retry=self.retry,
-            rng=self._retry_rng,
-            fault_stats=stats,
-        )
-
-    def _run_vsa_sweep(
-        self,
-        tree: KnaryTree,
-        published: list[tuple[int, ShedCandidate | SpareCapacity]],
-        min_vs_load: float,
-        stats: FaultRoundStats,
-    ) -> VSAResult:
-        """Run phase 3b (delivery + bottom-up rendezvous sweep).
-
-        Hook point for shard-parallel engines: delivery (which consumes
-        the retry rng and fault streams) always runs here, in publication
-        order; only the pure sweep may be decomposed.
-        """
-        return self._build_vsa_sweep(tree, min_vs_load, stats).run(published)
 
     def _record_metrics(self, report: BalanceReport) -> None:
         """Fold one round's profile into the attached registry."""

@@ -1,12 +1,12 @@
 """Rule ``no-fork-in-protocol``: process management stays in one place.
 
-The sharded balancer's byte-identity contract rests on two structural
-guarantees: every worker process is driven through
-:class:`repro.parallel.WorkerPool` (so inline and process execution are
-interchangeable), and workers receive *all* of their inputs explicitly
-through a picklable task (so no ambient rng, clock or registry state
-leaks across the fork).  This rule enforces both mechanically in the
-protocol packages:
+The trial engine's byte-identity contract (a parallel seed sweep
+matches the serial loop) rests on two structural guarantees: every
+worker process is driven through :class:`repro.parallel.WorkerPool`
+(so inline and process execution are interchangeable), and workers
+receive *all* of their inputs explicitly through a picklable task (so
+no ambient rng, clock or registry state leaks across the fork).  This
+rule enforces both mechanically in the protocol packages:
 
 * importing ``multiprocessing``, ``subprocess`` or ``concurrent.futures``
   is forbidden everywhere in protocol code except

@@ -12,11 +12,12 @@ payload.
   import time is process-global state whose consumption order depends
   on import order and sharing, not on the scenario seed (local check);
 * no ``Generator`` object may cross a ``WorkerPool`` submission
-  boundary unless it came from a per-shard ``spawn_rngs`` split — a
+  boundary unless it came from a per-task ``spawn_rngs`` split — a
   *shared* stream consumed by N workers interleaves differently under
   process and inline execution, silently breaking digest identity.
-  The positive pattern is the one ``ShardedLoadBalancer`` uses:
-  ``spawn_rngs(seed, n)`` then one child stream per task
+  The positive patterns are ``spawn_rngs(seed, n)`` then one child
+  stream per task, or no stream at all: the trial executor ships one
+  integer seed per :class:`~repro.parallel.trials.TrialTask`
   (interprocedural check over the flow analysis's submission registry).
 
 ``parallel-task-purity`` closes the loop on the *callable*: anything
@@ -24,7 +25,7 @@ submitted to ``map_ordered`` must be effect-closed under the flow
 lattice — transitively free of wall-clock reads, I/O, global mutation,
 nested forking, unordered iteration, and global/ambient RNG draws.
 Draws from generators the task *receives in its payload* (parameters,
-per-shard spawns) are fine; draws from module globals, closures or
+per-task spawns) are fine; draws from module globals, closures or
 instance attributes are not, because that state is re-imported fresh
 in worker processes but shared in inline mode.  Lambdas and
 statically-unresolvable callables are rejected outright — the analysis
@@ -45,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Transitive site kinds that disqualify a submitted callable.
 #: ``rng-consume`` itself is *not* here: drawing from a payload stream
-#: is the sanctioned per-shard pattern.  The refinements are.
+#: is the sanctioned per-task pattern.  The refinements are.
 FORBIDDEN_TASK_KINDS = frozenset(
     {
         "ambient-rng",
@@ -72,7 +73,7 @@ class RngStreamDisciplineRule(Rule):
     description = (
         "Generators must trace to a per-run SeedSequence spawn: no "
         "module-level streams, and none crossing a WorkerPool boundary "
-        "unless spawned per-shard via spawn_rngs"
+        "unless spawned per-task via spawn_rngs"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
